@@ -2,6 +2,8 @@ package bv
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sat"
 )
@@ -315,8 +317,11 @@ func (b *Blaster) AssertFalse(t *Term) {
 // applications of the same uninterpreted function recorded by the builder:
 // equal arguments force equal results. This is how 64-bit multiplication
 // and division stay uninterpreted yet functionally consistent (§5.2).
+// Functions are visited in name order so the clause and variable order,
+// and with it the solver's trajectory, is the same on every run.
 func (b *Blaster) AssertFunConsistency(builder *Builder) {
-	for _, apps := range builder.Apps {
+	for _, name := range slices.Sorted(maps.Keys(builder.Apps)) {
+		apps := builder.Apps[name]
 		for i := 0; i < len(apps); i++ {
 			for j := i + 1; j < len(apps); j++ {
 				f, g := apps[i], apps[j]

@@ -3,9 +3,33 @@
 // saving, Luby restarts, and activity-based learned-clause reduction. It is
 // the decision procedure underneath the bit-vector validator (the role STP
 // plays in §5.2 of the paper).
+//
+// Clause layout. Every clause lives in one flat []Lit arena: a header word
+// (the literal count shifted left once, low bit set for a learned clause)
+// followed by the literals, and, for a learned clause only, two more words
+// holding its float64 activity. A clause reference (cref) is the arena
+// offset of its first literal, so the header sits at cref-1; -1 means "no
+// clause". Propagation reads a long clause's size and literals from
+// adjacent words, and keeps its two watched literals in slots 0 and 1, the
+// implied literal of a reason clause in slot 0.
+//
+// Binary clauses are implicit in their watchers: a watcher whose cref is
+// negative refers to the binary clause at arena offset ^cref, and its
+// blocker is always the clause's other literal, so propagating a binary
+// clause never reads the arena. Its two literals are reordered only when
+// it becomes the conflict, to [other, falsified]; as a reason its implied
+// literal is identified by comparison, not by position.
+//
+// reduceDB compacts the arena in place, in clause order, rebuilds the
+// watch lists and moves the reasons of the root-level trail to the new
+// offsets. Assignments are stored per literal, so a literal's value is a
+// single load.
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Lit is a literal: variable index shifted left once, low bit = negated.
 type Lit int32
@@ -63,27 +87,25 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits     []Lit
-	learned  bool
-	activity float64
-}
+// learnedBit marks a learned clause in its header word.
+const learnedBit = 1
 
 type watcher struct {
-	cref    int32 // clause index
-	blocker Lit
+	cref    int32 // arena offset of the clause; ^offset for a binary clause
+	blocker Lit   // a literal of the clause, always the other one of a binary
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 // Verifier queries each build a fresh Solver, so there is no incremental or
 // assumption interface.
 type Solver struct {
-	clauses []*clause
-	watches [][]watcher // indexed by literal
+	arena      []Lit // clause headers, literals and learned activities
+	numClauses int
+	watches    [][]watcher // indexed by literal
 
-	assign   []lbool // indexed by variable
+	value    []lbool // indexed by literal
 	level    []int32
-	reason   []int32 // clause index or -1
+	reason   []int32 // clause offset or -1
 	phase    []bool  // saved phase
 	trail    []Lit
 	trailLim []int32
@@ -98,6 +120,10 @@ type Solver struct {
 
 	seen      []bool
 	conflicts int64
+
+	// Scratch buffers reused across AddClause and analyze calls.
+	addBuf, learnt []Lit
+	toClear        []int
 
 	// Budget bounds the number of conflicts explored by one Solve call;
 	// exceeding it yields Unknown. Zero means unlimited.
@@ -119,7 +145,7 @@ func New() *Solver {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // Conflicts returns the total conflicts encountered so far.
 func (s *Solver) Conflicts() int64 { return s.conflicts }
@@ -128,12 +154,12 @@ func (s *Solver) Conflicts() int64 { return s.conflicts }
 // Read before Solve it is the encoded problem size (the observability
 // metric threaded into proof-cost histograms); after Solve it also counts
 // surviving learned clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.numClauses }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
+	v := len(s.level)
+	s.value = append(s.value, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.phase = append(s.phase, false)
@@ -144,19 +170,7 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) litValue(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
-}
+func (s *Solver) litValue(l Lit) lbool { return s.value[l] }
 
 // AddClause adds a clause; it must be called before Solve (root level).
 // Returns false if the formula became trivially unsatisfiable.
@@ -164,7 +178,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsat {
 		return false
 	}
-	var out []Lit
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		switch s.rootValue(l) {
 		case lTrue:
@@ -190,6 +204,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.unsat = true
@@ -201,13 +216,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attachClause(&clause{lits: out})
+	s.attachClause(out, false)
 	return true
 }
 
 // rootValue is the literal's value considering only root-level assignments.
 func (s *Solver) rootValue(l Lit) lbool {
-	if s.assign[l.Var()] == lUndef || s.level[l.Var()] != 0 {
+	if s.level[l.Var()] != 0 {
 		return lUndef
 	}
 	return s.litValue(l)
@@ -225,21 +240,70 @@ func (s *Solver) enqueueRoot(l Lit) bool {
 	return s.propagate() == -1
 }
 
-func (s *Solver) attachClause(c *clause) int32 {
-	cref := int32(len(s.clauses))
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{cref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{cref, c.lits[0]})
+// attachClause appends a clause of two or more literals to the arena
+// (a learned one with zero activity) and watches it.
+func (s *Solver) attachClause(lits []Lit, learned bool) int32 {
+	hdr := Lit(len(lits) << 1)
+	if learned {
+		hdr |= learnedBit
+	}
+	s.arena = append(s.arena, hdr)
+	cref := int32(len(s.arena))
+	s.arena = append(s.arena, lits...)
+	if learned {
+		s.arena = append(s.arena, 0, 0)
+	}
+	s.numClauses++
+	s.watchClause(cref)
 	return cref
+}
+
+// watchClause adds the watchers of the clause at cref for its first two
+// literals.
+func (s *Solver) watchClause(cref int32) {
+	c0, c1 := s.arena[cref], s.arena[cref+1]
+	w := cref
+	if s.clauseSize(cref) == 2 {
+		w = ^cref
+	}
+	s.watches[c0.Not()] = append(s.watches[c0.Not()], watcher{w, c1})
+	s.watches[c1.Not()] = append(s.watches[c1.Not()], watcher{w, c0})
+}
+
+func (s *Solver) clauseSize(cref int32) int32 { return int32(s.arena[cref-1] >> 1) }
+
+func (s *Solver) isLearned(cref int32) bool { return s.arena[cref-1]&learnedBit != 0 }
+
+func (s *Solver) clauseLits(cref int32) []Lit {
+	return s.arena[cref : cref+s.clauseSize(cref)]
+}
+
+// clauseActivity reads a learned clause's activity, stored in the two
+// words after its literals.
+func (s *Solver) clauseActivity(cref int32) float64 {
+	i := cref + s.clauseSize(cref)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+func (s *Solver) setClauseActivity(cref int32, a float64) {
+	i := cref + s.clauseSize(cref)
+	bits := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(bits)), Lit(uint32(bits>>32))
+}
+
+// nextClause returns the offset of the clause that follows the one at cref
+// in the arena.
+func (s *Solver) nextClause(cref int32) int32 {
+	next := cref + s.clauseSize(cref) + 1
+	if s.isLearned(cref) {
+		next += 2
+	}
+	return next
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason int32) {
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.value[l], s.value[l.Not()] = lTrue, lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = reason
 	s.trail = append(s.trail, l)
@@ -247,36 +311,53 @@ func (s *Solver) uncheckedEnqueue(l Lit, reason int32) {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// propagate performs unit propagation; it returns the index of a
+// propagate performs unit propagation; it returns the offset of a
 // conflicting clause or -1.
 func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		kept := ws[:0]
 		conflict := int32(-1)
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if s.litValue(w.blocker) == lTrue {
+			bval := s.litValue(w.blocker)
+			if bval == lTrue {
 				kept = append(kept, w)
 				continue
 			}
-			c := s.clauses[w.cref]
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.cref < 0 {
+				// Binary clause: the blocker is the other literal.
+				kept = append(kept, w)
+				cref := ^w.cref
+				if bval == lFalse {
+					s.arena[cref], s.arena[cref+1] = w.blocker, falseLit
+					conflict = cref
+					kept = append(kept, ws[wi+1:]...)
+					s.qhead = len(s.trail)
+					break
+				}
+				s.uncheckedEnqueue(w.blocker, cref)
+				continue
 			}
-			first := c.lits[0]
+			cref := w.cref
+			c := s.arena[cref : cref+s.clauseSize(cref)]
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], c[0]
+			}
+			first := c[0]
 			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{w.cref, first})
+				kept = append(kept, watcher{cref, first})
 				continue
 			}
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()],
-						watcher{w.cref, first})
+			for k := 2; k < len(c); k++ {
+				if s.litValue(c[k]) != lFalse {
+					c[1], c[k] = c[k], c[1]
+					s.watches[c[1].Not()] = append(s.watches[c[1].Not()],
+						watcher{cref, first})
 					found = true
 					break
 				}
@@ -284,15 +365,15 @@ func (s *Solver) propagate() int32 {
 			if found {
 				continue
 			}
-			kept = append(kept, watcher{w.cref, first})
+			kept = append(kept, watcher{cref, first})
 			if s.litValue(first) == lFalse {
-				conflict = w.cref
+				conflict = cref
 				// Copy the remaining watchers and stop.
 				kept = append(kept, ws[wi+1:]...)
 				s.qhead = len(s.trail)
 				break
 			}
-			s.uncheckedEnqueue(first, w.cref)
+			s.uncheckedEnqueue(first, cref)
 		}
 		s.watches[p] = kept
 		if conflict >= 0 {
@@ -303,24 +384,23 @@ func (s *Solver) propagate() int32 {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first) and the backtrack level. The returned
+// slice is scratch space, valid until the next call.
 func (s *Solver) analyze(confl int32) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
-	var toClear []int
+	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
+	toClear := s.toClear[:0]
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
 
 	for {
-		c := s.clauses[confl]
-		if c.learned {
-			s.bumpClause(c)
+		if s.isLearned(confl) {
+			s.bumpClause(confl)
 		}
-		start := 0
-		if p != -1 {
-			start = 1
-		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.clauseLits(confl) {
+			if q == p {
+				continue // the literal this reason clause implied
+			}
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -375,6 +455,7 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learnt, s.toClear = learnt, toClear
 	return learnt, btLevel
 }
 
@@ -385,7 +466,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 	if cref < 0 {
 		return false
 	}
-	for _, q := range s.clauses[cref].lits {
+	for _, q := range s.clauseLits(cref) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -402,9 +483,10 @@ func (s *Solver) backtrack(level int) {
 	}
 	bound := int(s.trailLim[level])
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Neg()
+		s.value[l], s.value[l.Not()] = lUndef, lUndef
 		s.reason[v] = -1
 		s.order.push(v)
 	}
@@ -424,23 +506,30 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, cl := range s.clauses {
-			if cl.learned {
-				cl.activity *= 1e-20
-			}
-		}
-		s.claInc *= 1e-20
+func (s *Solver) bumpClause(cref int32) {
+	a := s.clauseActivity(cref) + s.claInc
+	s.setClauseActivity(cref, a)
+	if a > 1e20 {
+		s.rescaleClauseActivity()
 	}
+}
+
+// rescaleClauseActivity scales every learned clause's activity, and the
+// increment, down by 1e-20.
+func (s *Solver) rescaleClauseActivity() {
+	for cref := int32(1); int(cref) < len(s.arena); cref = s.nextClause(cref) {
+		if s.isLearned(cref) {
+			s.setClauseActivity(cref, s.clauseActivity(cref)*1e-20)
+		}
+	}
+	s.claInc *= 1e-20
 }
 
 // pickBranch returns the highest-activity unassigned variable, or -1.
 func (s *Solver) pickBranch() int {
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assign[v] == lUndef {
+		if s.value[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -448,47 +537,56 @@ func (s *Solver) pickBranch() int {
 }
 
 // reduceDB removes low-activity learned clauses once the database grows
-// past its cap. Reason clauses and binary clauses are kept.
+// past its cap. Reason clauses and binary clauses are kept. It runs at the
+// root level: it compacts the arena in place, keeping clause order, and
+// rebuilds the watch lists.
 func (s *Solver) reduceDB() {
 	nLearned := 0
 	var actSum float64
-	for _, c := range s.clauses {
-		if c.learned {
+	for cref := int32(1); int(cref) < len(s.arena); cref = s.nextClause(cref) {
+		if s.isLearned(cref) {
 			nLearned++
-			actSum += c.activity
+			actSum += s.clauseActivity(cref)
 		}
 	}
 	if nLearned < s.learnedCap {
 		return
 	}
 	threshold := actSum / float64(nLearned)
-	inUse := make(map[int32]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r >= 0 {
-			inUse[r] = true
-		}
-	}
 
-	old := s.clauses
-	s.clauses = nil
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
-	remap := make([]int32, len(old))
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, c := range old {
-		if c.learned && len(c.lits) > 2 && c.activity < threshold && !inUse[int32(i)] {
+	end := int32(0) // end of the compacted prefix
+	for cref := int32(1); int(cref) < len(s.arena); {
+		next := s.nextClause(cref)
+		size := s.clauseSize(cref)
+		if s.isLearned(cref) && size > 2 && s.clauseActivity(cref) < threshold &&
+			s.reason[s.arena[cref].Var()] != cref {
+			s.numClauses--
+			cref = next
 			continue
 		}
-		remap[i] = s.attachClause(c)
-	}
-	for v := range s.reason {
-		if s.reason[v] >= 0 {
-			s.reason[v] = remap[s.reason[v]]
+		to := end + 1
+		if to != cref {
+			// Only the implied literal, slot 0 of a long clause and either
+			// slot of a binary one, can name this clause as its reason.
+			n := int32(1)
+			if size == 2 {
+				n = 2
+			}
+			for _, l := range s.arena[cref : cref+n] {
+				if s.reason[l.Var()] == cref {
+					s.reason[l.Var()] = to
+				}
+			}
+			copy(s.arena[end:], s.arena[cref-1:next-1])
 		}
+		s.watchClause(to)
+		end += next - cref
+		cref = next
 	}
+	s.arena = s.arena[:end]
 	s.learnedCap += s.learnedCap / 2
 }
 
@@ -524,9 +622,9 @@ func (s *Solver) SolveModel() (Status, []bool) {
 	st := s.search()
 	var model []bool
 	if st == Sat {
-		model = make([]bool, len(s.assign))
-		for v := range s.assign {
-			model[v] = s.assign[v] == lTrue
+		model = make([]bool, s.NumVars())
+		for v := range model {
+			model[v] = s.Value(v)
 		}
 	}
 	s.backtrack(0)
@@ -560,9 +658,14 @@ func (s *Solver) search() Status {
 					return Unsat
 				}
 			} else {
-				c := &clause{lits: learnt, learned: true}
-				s.bumpClause(c)
-				cref := s.attachClause(c)
+				// The new clause's first bump: a rescale it triggers
+				// leaves the new clause itself unscaled.
+				act := s.claInc
+				if act > 1e20 {
+					s.rescaleClauseActivity()
+				}
+				cref := s.attachClause(learnt, true)
+				s.setClauseActivity(cref, act)
 				s.uncheckedEnqueue(learnt[0], cref)
 			}
 			s.varInc /= 0.95
@@ -593,7 +696,7 @@ func (s *Solver) search() Status {
 
 // Value returns the model value of variable v after a Sat verdict from the
 // most recent search. Prefer SolveModel, which snapshots the assignment.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.value[MkLit(v, false)] == lTrue }
 
 // varHeap is a max-heap over variable activities.
 type varHeap struct {

@@ -17,9 +17,10 @@
 // concurrency budgets (the X-Tenant header names the tenant) bound how
 // many of one tenant's jobs run at once, so a single heavy user queues
 // behind itself, not in front of everyone else. Identical in-flight
-// submissions — same canonical fingerprint and constants — deduplicate:
-// the second submitter attaches to the running job instead of launching a
-// second search.
+// submissions — same target over the same registers and live outputs —
+// deduplicate: the second submitter attaches to the running job instead
+// of launching a second search. An α-renamed twin gets its own job, since
+// the running job answers in its own registers.
 //
 // Shutdown drains gracefully: new submissions are refused, running
 // searches are cancelled, and every cancelled job completes with the
@@ -158,7 +159,7 @@ type job struct {
 	tenant string
 	kernel stoke.Kernel
 	opts   []stoke.Option
-	dedup  string // store.Key(fp, consts); "" when no store is configured
+	dedup  string // dedupKey(kernel); "" when no store is configured
 
 	cancel context.CancelFunc
 
@@ -533,16 +534,20 @@ func budgetOptions(b Budgets) []stoke.Option {
 	return opts
 }
 
-// dedupKey computes the content address a submission would occupy in the
-// store — the in-flight dedup identity.
+// dedupKey computes the in-flight dedup identity: the content address a
+// submission would occupy in the store, followed by its exact target and
+// live outputs. α-renamed twins share the store address, but a running
+// job answers in its own registers, so only a submission over the same
+// registers may attach to it.
 func dedupKey(k stoke.Kernel) string {
-	form := canon.Canonicalize(k.Target, verify.LiveOut{
+	live := verify.LiveOut{
 		GPRs:  k.Spec.LiveOut.GPRs,
 		Xmms:  k.Spec.LiveOut.Xmms,
 		Flags: k.Spec.LiveOut.Flags,
 		Mem:   k.LiveMem,
-	})
-	return store.Key(form.FP.Hex(), form.Consts)
+	}
+	form := canon.Canonicalize(k.Target, live)
+	return fmt.Sprintf("%s\n%s%v", store.Key(form.FP.Hex(), form.Consts), k.Target, live)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -571,7 +576,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var dedup string
 	if s.cfg.Store != nil {
 		opts = append(opts, stoke.WithRewriteStore(s.cfg.Store))
-		dedup = dedupKey(k)
 
 		// Synchronous fast path: an exact, revalidated store hit answers
 		// the POST immediately — no job, no queue, no search.
@@ -595,6 +599,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.stats.cacheMisses.Add(1)
+		dedup = dedupKey(k) // only a miss can attach to a job in flight
 	}
 
 	// In-flight dedup: an identical submission attaches to the running or

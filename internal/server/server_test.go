@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/verify"
 	"repro/stoke"
 )
 
@@ -246,6 +248,56 @@ func TestServerInflightDedup(t *testing.T) {
 		t.Fatalf("statsz attached %d, want 1", st.JobsAttached)
 	}
 	// Cleanup's Shutdown cancels the fat job; it must still finish Partial.
+}
+
+// TestServerInflightRenamedTwins: an α-renamed twin of a job in flight
+// shares its store address but gets its own job, and each submitter's
+// answer is proven equivalent to its own target, on its own registers.
+func TestServerInflightRenamedTwins(t *testing.T) {
+	e := newEnv(t, Config{Workers: 1})
+
+	specs := []KernelSpec{addSpec("add"), renamedAddSpec("add-renamed")}
+	views := make([]JobView, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, code := e.submit(SubmitRequest{Kernel: spec, Budgets: quickBudgets()}, "")
+			if code != http.StatusAccepted {
+				t.Errorf("%s: status %d, want 202", spec.Name, code)
+			}
+			views[i] = v
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if views[0].ID == views[1].ID {
+		t.Fatalf("renamed twin attached to job %s", views[0].ID)
+	}
+	for i, spec := range specs {
+		final := e.await(views[i].ID, 120*time.Second)
+		if final.Status != "done" || final.Result == nil || final.Result.Rewrite == "" {
+			t.Fatalf("%s: job did not complete with a rewrite: %+v", spec.Name, final)
+		}
+		if final.Attached != 0 {
+			t.Fatalf("%s: %d submitters attached, want 0", spec.Name, final.Attached)
+		}
+		k, err := buildKernel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewrite, err := stoke.Parse(final.Result.Rewrite)
+		if err != nil {
+			t.Fatalf("%s: unparsable rewrite: %v", spec.Name, err)
+		}
+		live := verify.LiveOut{GPRs: k.Spec.LiveOut.GPRs}
+		if res := verify.Equivalent(context.Background(), k.Target, rewrite, live, verify.DefaultConfig); res.Verdict != verify.Equal {
+			t.Fatalf("%s: answer is %v to its own target:\n%s", spec.Name, res.Verdict, final.Result.Rewrite)
+		}
+	}
 }
 
 // TestServerBadRequests: malformed bodies and kernels are rejected with
