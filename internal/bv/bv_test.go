@@ -196,6 +196,15 @@ func TestFolding(t *testing.T) {
 		{b.Extract(b.Concat(b.Const(16, 0xdead), b.Const(16, 0xbeef)), 0, 16), b.Const(16, 0xbeef)},
 		{b.Eq(x, x), b.True()},
 		{b.Shl(b.Const(32, 1), b.Const(32, 35)), b.Const(32, 0)},
+		{b.Add(b.Const(32, 3), x), b.Add(x, b.Const(32, 3))},
+		{b.Add(b.Add(x, b.Const(32, 3)), b.Const(32, 5)), b.Add(x, b.Const(32, 8))},
+		{b.Sub(x, b.Const(32, 8)), b.Add(x, b.Const(32, 0xfffffff8))},
+		{b.Add(b.Sub(x, b.Const(32, 8)), b.Const(32, 8)), x},
+		{b.Eq(b.Sub(x, b.Const(32, 8)), b.Add(b.Sub(x, b.Const(32, 16)), b.Const(32, 8))), b.True()},
+		{b.Eq(b.Sub(x, b.Const(32, 8)), b.Sub(x, b.Const(32, 16))), b.False()},
+		{b.Eq(x, b.Add(x, b.Const(32, 1))), b.False()},
+		{b.Concat(b.Extract(x, 8, 8), b.Extract(x, 0, 8)), b.Extract(x, 0, 16)},
+		{b.Concat(b.Extract(x, 16, 16), b.Extract(x, 0, 16)), x},
 	}
 	for i, c := range cases {
 		if c.got != c.want {

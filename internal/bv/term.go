@@ -4,6 +4,30 @@
 // the role STP plays for STOKE (§5.2): deciding quantifier-free bit-vector
 // queries and producing counterexample models.
 //
+// Builder folds a term while building it, so that what the validator asks
+// is decided at the word level where it can be, before bit-blasting. Every
+// fold replaces a term with one that has the same value in every
+// environment (modulo 2^w at width w):
+//
+//   - Constant operands fold, and identities such as x & 0, x | 0, x ^ x,
+//     x + 0 and ite(c, x, x) reduce.
+//   - Offsets are canonical. Add puts a constant operand on the right and
+//     reassociates (x + c1) + c2 to x + (c1+c2), and Sub(x, c) builds
+//     x + (-c). Both are the ring laws of addition modulo 2^w, so every
+//     constant offset from a base term has one form: rsp-8 built as
+//     (rsp-16)+8 is the same term as rsp-8 built directly.
+//   - Equality of offsets is decided. Eq(x + c1, x + c2) folds to the
+//     constant c1 = c2, with x taken as x + 0. Adding a constant is a
+//     bijection on w-bit values, so the two sides are equal exactly when
+//     the offsets are, whatever x is.
+//   - Slices reassemble. Concat(Extract(v, i+k, m), Extract(v, i, k)) is
+//     bits [i, i+k+m) of v, so it folds to Extract(v, i, k+m), and
+//     Extract of the whole of v is v. A little-endian load of the bytes of
+//     a stored value thus gives back the value itself.
+//
+// The validator's memory model relies on the offset and equality folds:
+// they decide which stores a stack load reads (internal/verify).
+//
 // Terms are at most 64 bits wide; the verifier models 128-bit products as
 // pairs of 64-bit terms. Uninterpreted functions (§5.2 treats 64-bit
 // multiplication and division as uninterpreted) are App terms; Builder
@@ -264,21 +288,40 @@ func (b *Builder) Xor(x, y *Term) *Term {
 	return b.binary(OpXor, x, y, func(a, c uint64) uint64 { return a ^ c })
 }
 
-// Add is modular addition.
+// Add is modular addition. A constant operand goes on the right, and
+// (x + c1) + c2 reassociates to x + (c1+c2), so every constant offset
+// from a base term has one canonical form.
 func (b *Builder) Add(x, y *Term) *Term {
-	if v, ok := x.IsConst(); ok && v == 0 {
-		return y
+	if x.Width != y.Width {
+		panic(fmt.Sprintf("bv: width mismatch %d vs %d in %v", x.Width, y.Width, OpAdd))
 	}
-	if v, ok := y.IsConst(); ok && v == 0 {
-		return x
+	if x.Op == OpConst {
+		x, y = y, x
+	}
+	if v, ok := y.IsConst(); ok {
+		if v == 0 {
+			return x
+		}
+		if base, c := offset(x); base != x {
+			return b.Add(base, b.Const(x.Width, c+v))
+		}
 	}
 	return b.binary(OpAdd, x, y, func(a, c uint64) uint64 { return a + c })
 }
 
-// Sub is modular subtraction.
+// offset splits t into a base term and a constant offset: x + c gives
+// (x, c), and any other term gives (t, 0).
+func offset(t *Term) (*Term, uint64) {
+	if t.Op == OpAdd && t.Args[1].Op == OpConst {
+		return t.Args[0], t.Args[1].Val
+	}
+	return t, 0
+}
+
+// Sub is modular subtraction; x - c becomes x + (-c).
 func (b *Builder) Sub(x, y *Term) *Term {
-	if v, ok := y.IsConst(); ok && v == 0 {
-		return x
+	if v, ok := y.IsConst(); ok {
+		return b.Add(x, b.Const(y.Width, -v))
 	}
 	if x == y {
 		return b.Const(x.Width, 0)
@@ -385,6 +428,12 @@ func (b *Builder) Concat(hi, lo *Term) *Term {
 	if hc && lc {
 		return b.Const(w, hv<<lo.Width|lv)
 	}
+	// Adjacent slices of one term reassemble: v[i+k+m-1:i+k] ++ v[i+k-1:i]
+	// is v[i+k+m-1:i].
+	if hi.Op == OpExtract && lo.Op == OpExtract && hi.Args[0] == lo.Args[0] &&
+		hi.Lo == lo.Lo+lo.Width {
+		return b.Extract(lo.Args[0], lo.Lo, w)
+	}
 	return b.intern(&Term{Op: OpConcat, Width: w, Args: []*Term{hi, lo}})
 }
 
@@ -432,6 +481,16 @@ func (b *Builder) Eq(x, y *Term) *Term {
 	yv, yc := y.IsConst()
 	if xc && yc {
 		if xv == yv {
+			return b.True()
+		}
+		return b.False()
+	}
+	// x + c1 = x + c2 holds exactly when c1 = c2: adding a constant is a
+	// bijection on w-bit values.
+	xb, xo := offset(x)
+	yb, yo := offset(y)
+	if xb == yb {
+		if xo == yo {
 			return b.True()
 		}
 		return b.False()

@@ -10,6 +10,18 @@
 // to rsp-relative terms, and initial memory is a byte-level uninterpreted
 // function of the address — which yields exactly the paper's aliasing
 // constraint addr1 = addr2 ⇒ val1 = val2.
+//
+// Memory is a log of guarded byte writes. A load forwards from that log
+// at the term level (memReadByte): internal/bv keeps every address in the
+// canonical form base + constant and folds the equality of two addresses
+// over the same base to a constant, so a load from rsp-8 skips a store to
+// rsp-16 and takes the value of a store to rsp-8 outright. Only writes
+// whose address the builder cannot compare with the load's (a store
+// through a loaded or argument pointer, say) stay in the formula as a
+// guarded ITE, and mem0 is applied only to bytes no write certainly
+// covers. Stack spills and reloads of -O0 code thus never reach the SAT
+// solver, and the Ackermann constraints cover only the mem0 reads that
+// remain.
 package verify
 
 import (
@@ -162,14 +174,36 @@ func (s *symState) effAddr(o x64.Operand) *bv.Term {
 	return a
 }
 
-// memReadByte resolves one byte of memory: the most recent prior guarded
-// write to that address, else the initial memory function mem0(addr).
+// memReadByte resolves one byte of memory by forwarding from the write
+// log. It walks the writes newest-first: a write whose hit condition
+// (guard and address equality) folds to false cannot supply the byte and
+// is skipped, and a write whose hit folds to true supplies it, so the walk
+// stops there. Only when no write certainly covers the byte is the initial
+// memory function mem0(addr) applied. The remaining writes, whose hits the
+// builder could not decide, become a guarded ITE chain with the newest
+// outermost. Because stack addresses are rsp plus a constant, and the
+// builder decides the equality of two such terms, -O0 spills and reloads
+// resolve here to the stored value without reaching the SAT solver.
 func (s *symState) memReadByte(addr *bv.Term) *bv.Term {
 	b := s.b
-	val := b.App("mem0", 8, addr)
-	for _, w := range s.writes {
-		hit := b.And(w.guard, b.Eq(addr, w.addr))
-		val = b.Ite(hit, w.val, val)
+	type hit struct{ cond, val *bv.Term }
+	var open []hit
+	var val *bv.Term
+	for i := len(s.writes) - 1; i >= 0 && val == nil; i-- {
+		w := s.writes[i]
+		cond := b.And(w.guard, b.Eq(addr, w.addr))
+		switch v, ok := cond.IsConst(); {
+		case !ok:
+			open = append(open, hit{cond, w.val})
+		case v == 1:
+			val = w.val
+		}
+	}
+	if val == nil {
+		val = b.App("mem0", 8, addr)
+	}
+	for i := len(open) - 1; i >= 0; i-- {
+		val = b.Ite(open[i].cond, open[i].val, val)
 	}
 	return val
 }

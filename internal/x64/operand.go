@@ -55,8 +55,8 @@ type Operand struct {
 	Index Reg   // memory index register, NoReg if absent
 	Scale uint8 // memory index scale: 1, 2, 4 or 8
 	Disp  int32 // memory displacement
+	Label int32 // label id for KindLabel; beside Disp so Operand packs into 24 bytes
 	Imm   int64 // immediate payload
-	Label int32 // label id for KindLabel
 }
 
 // R returns a GPR operand of the given width in bytes.

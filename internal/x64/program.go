@@ -141,7 +141,13 @@ func (p *Program) String() string {
 
 // Packed returns a copy of p with UNUSED slots removed.
 func (p *Program) Packed() *Program {
-	q := &Program{}
+	n := 0
+	for _, in := range p.Insts {
+		if in.Op != UNUSED {
+			n++
+		}
+	}
+	q := &Program{Insts: make([]Inst, 0, n)}
 	for _, in := range p.Insts {
 		if in.Op != UNUSED {
 			q.Insts = append(q.Insts, in)
