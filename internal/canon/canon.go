@@ -278,8 +278,8 @@ func SubstituteConsts(p *x64.Program, oldv, newv []int64) *x64.Program {
 					o.Imm = nv
 				}
 			case x64.KindMem:
-				if nv, ok := sub[int64(o.Disp)]; ok && nv == int64(int32(nv)) {
-					o.Disp = int32(nv)
+				if nv, ok := sub[int64(o.Disp())]; ok && nv == int64(int32(nv)) {
+					o.Imm = nv // a memory operand's displacement
 				}
 			}
 		}
@@ -351,12 +351,12 @@ func forEachXMM(p *x64.Program, visit func(x64.Reg)) {
 // renameProgram applies the register bijections to a packed program and
 // renumbers its labels in order of first mention.
 func renameProgram(p *x64.Program, gpr *[x64.NumGPR]x64.Reg, xmm *[x64.NumXMM]x64.Reg) *x64.Program {
-	labels := map[int32]int32{}
-	relabel := func(l int32) int32 {
+	labels := map[int16]int16{}
+	relabel := func(l int16) int16 {
 		if nl, ok := labels[l]; ok {
 			return nl
 		}
-		nl := int32(len(labels))
+		nl := int16(len(labels))
 		labels[l] = nl
 		return nl
 	}
@@ -431,9 +431,9 @@ func fingerprint(p *x64.Program, live verify.LiveOut) ([]int64, Fingerprint) {
 				w8(uint8(o.Base))
 				w8(uint8(o.Index))
 				w8(o.Scale)
-				w64(abstract(int64(o.Disp)))
+				w64(abstract(int64(o.Disp())))
 			case x64.KindLabel:
-				w32(o.Label)
+				w32(int32(o.Label))
 			}
 		}
 	}

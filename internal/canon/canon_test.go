@@ -334,7 +334,7 @@ func randomProgram(rng *rand.Rand) *x64.Program {
 		}
 	}
 	if rng.Intn(3) == 0 { // forward jump over the tail
-		lbl := int32(rng.Intn(4)) // arbitrary id; canon renumbers
+		lbl := int16(rng.Intn(4)) // arbitrary id; canon renumbers
 		jmp := x64.MakeCCInst(x64.Jcc, x64.CondLE, x64.LabelRef(lbl))
 		p.Insts = append(p.Insts[:0:0], append([]x64.Inst{jmp}, p.Insts...)...)
 		p.Insts = append(p.Insts, x64.MakeInst(x64.LABEL, x64.LabelRef(lbl)))

@@ -77,7 +77,7 @@ type o2gen struct {
 	locals map[string]regVal
 	params []x64.Reg
 	inUse  map[x64.Reg]bool
-	labels int32
+	labels int16
 }
 
 // allocOrder is the temp allocation preference (no ABI concerns inside a
@@ -118,7 +118,7 @@ func (g *o2gen) own(rv regVal, w uint8) regVal {
 	return regVal{reg: dst, owned: true}
 }
 
-func (g *o2gen) newLabel() int32 {
+func (g *o2gen) newLabel() int16 {
 	g.labels++
 	return g.labels - 1
 }

@@ -42,16 +42,15 @@ func randomSnapshot(rng *rand.Rand) *emu.Snapshot {
 	s.FlagsDef = x64.FlagSet(rng.Intn(32))
 
 	const size = 128
-	im := emu.MemImage{
-		Base:  segBase,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
+	im := emu.NewMemImage(segBase, size)
 	for i := 0; i < size; i++ {
 		im.Data[i] = byte(rng.Intn(256))
-		im.Def[i] = rng.Intn(8) != 0
-		im.Valid[i] = rng.Intn(8) != 0
+		if rng.Intn(8) != 0 {
+			im.Def.Set(i)
+		}
+		if rng.Intn(8) != 0 {
+			im.Valid.Set(i)
+		}
 	}
 	s.Mem = []emu.MemImage{im}
 

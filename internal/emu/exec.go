@@ -58,7 +58,7 @@ func (m *Machine) Run(p *x64.Program) Outcome {
 // are validated to contain only forward jumps, so scanning from pc+1 always
 // terminates; a missing label (unvalidated candidate) falls off the end,
 // which is safe.
-func (m *Machine) jumpTarget(p *x64.Program, pc int, label int32) int {
+func (m *Machine) jumpTarget(p *x64.Program, pc int, label int16) int {
 	for i := pc + 1; i < len(p.Insts); i++ {
 		if p.Insts[i].Op == x64.LABEL && p.Insts[i].Opd[0].Label == label {
 			return i + 1

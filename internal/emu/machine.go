@@ -33,6 +33,15 @@
 // final values and definedness of non-live registers may then differ from
 // a full run, while every cost observable — live-out state, memory, flags
 // at reads, the error counters — is preserved.
+//
+// Testcase memory is a list of MemImage segments built with NewMemImage.
+// Each carries its definedness and sandbox planes as Bits, one bit per
+// byte — the representation the machine checks accesses against — so
+// loading a snapshot copies the data and the definedness plane it mutates
+// and shares the sandbox plane as is. Instrumented runs (SetTrace) record
+// the bytes read and written into per-segment Bits of the same shape.
+// Testcase snapshots are immutable once built, which is what lets
+// machines share their planes.
 package emu
 
 import (
@@ -43,22 +52,62 @@ import (
 	"repro/internal/x64"
 )
 
+// Bits is a bitset over the bytes of one memory segment: bit i describes
+// byte i. It is the one representation of a segment's definedness and
+// sandbox planes, from the testcase builder to the machine that runs on it,
+// so the per-access checks of loadBytes/storeBytes are word operations.
+// A plane for n bytes has bitWords(n) words; the bits past n stay zero.
+type Bits []uint64
+
+// NewBits returns an all-zero plane for n bytes.
+func NewBits(n int) Bits { return make(Bits, bitWords(n)) }
+
+// Get reports whether bit i is set.
+func (b Bits) Get(i int) bool { return b[i/64]>>(i%64)&1 == 1 }
+
+// Set sets bit i.
+func (b Bits) Set(i int) { b[i/64] |= 1 << (i % 64) }
+
+// SetAll sets bits [0, n).
+func (b Bits) SetAll(n int) {
+	for i := 0; i < n/64; i++ {
+		b[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		b[n/64] |= 1<<r - 1
+	}
+}
+
 // MemImage describes one contiguous memory segment of a testcase: its
-// contents, which bytes hold defined data, and which bytes are inside the
-// sandbox (dereferenceable because the target dereferenced them).
+// contents, which bytes hold defined data (Def), and which bytes are inside
+// the sandbox (Valid: dereferenceable because the target dereferenced
+// them). Build images with NewMemImage, which sizes both planes.
+//
+// A machine that loads a snapshot shares its images' planes rather than
+// copying them, so a loaded snapshot's planes must not change unless the
+// machines that loaded it are meant to check against the new planes too
+// (testgen narrows a fresh input's Valid planes this way). Testcase
+// snapshots never change once built, and LoadSnapshotCached relies on
+// that for Data as well.
 type MemImage struct {
 	Base  uint64
 	Data  []byte
-	Def   []bool
-	Valid []bool
+	Def   Bits
+	Valid Bits
+}
+
+// NewMemImage returns a size-byte image at base with every byte zero,
+// undefined and outside the sandbox.
+func NewMemImage(base uint64, size int) MemImage {
+	return MemImage{Base: base, Data: make([]byte, size), Def: NewBits(size), Valid: NewBits(size)}
 }
 
 // Clone returns a deep copy of the image.
 func (im MemImage) Clone() MemImage {
 	out := MemImage{Base: im.Base}
 	out.Data = append([]byte(nil), im.Data...)
-	out.Def = append([]bool(nil), im.Def...)
-	out.Valid = append([]bool(nil), im.Valid...)
+	out.Def = append(Bits(nil), im.Def...)
+	out.Valid = append(Bits(nil), im.Valid...)
 	return out
 }
 
@@ -86,48 +135,27 @@ func (s *Snapshot) Clone() *Snapshot {
 }
 
 // segment is the machine's mutable view of one MemImage. Definedness and
-// sandbox validity are kept as bitsets (one bit per byte), so the per-access
-// checks of loadBytes/storeBytes are one or two word operations instead of
-// byte loops — the sandbox accounting was the hottest path of the
-// memory-bound kernels. dirtyLo/dirtyHi bound the bytes stores have touched
-// since the last snapshot load (empty when dirtyHi <= dirtyLo), so a cached
-// reload restores only that range; valid is never mutated by execution and
-// needs no restore at all. snapDef caches the snapshot's definedness bits so
-// the dirty-range restore is a word copy.
+// sandbox validity are bitsets (one bit per byte), so the per-access checks
+// of loadBytes/storeBytes are one or two word operations instead of byte
+// loops — the sandbox accounting was the hottest path of the memory-bound
+// kernels. dirtyLo/dirtyHi bound the bytes stores have touched since the
+// last snapshot load (empty when dirtyHi <= dirtyLo), so a cached reload
+// restores only that range. valid and snapDef are the snapshot image's own
+// planes, shared, not copied: execution never mutates validity, and snapDef
+// is the pristine definedness the dirty-range restore copies from.
 type segment struct {
 	base    uint64
 	data    []byte
-	def     []uint64
-	valid   []uint64
-	snapDef []uint64
+	def     Bits
+	valid   Bits
+	snapDef Bits
 	dirtyLo int
 	dirtyHi int
-}
-
-// packedMem is the bitset form of one MemImage's definedness and validity
-// planes. Cached per snapshot: valid never mutates during execution, and
-// def serves as the pristine image dirty-range restores copy from.
-type packedMem struct {
-	def   []uint64
-	valid []uint64
 }
 
 // bitWords returns the bitset length for n bytes, padded by one word so
 // two-word extractions near the end never bounds-check out.
 func bitWords(n int) int { return n/64 + 2 }
-
-// packBools fills a bitset from a []bool (snapshot images keep the
-// friendly representation; the machine runs on bits).
-func packBools(dst []uint64, src []bool) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, ok := range src {
-		if ok {
-			dst[i/64] |= 1 << (i % 64)
-		}
-	}
-}
 
 // allSet reports whether bits [off, off+n) are all one (n <= 48).
 func allSet(bits []uint64, off uint64, n int) bool {
@@ -180,9 +208,9 @@ type Machine struct {
 	// sequence of the paper's length plus slack.
 	MaxSteps int
 
-	// trace, when non-nil, records every byte address the program
-	// dereferences. It stands in for the PinTool instrumentation of §5.1:
-	// the addresses the target touches define the sandbox for rewrites.
+	// trace, when non-nil, records every byte the program dereferences.
+	// It stands in for the PinTool instrumentation of §5.1: the bytes the
+	// target touches define the sandbox for rewrites.
 	trace *Trace
 
 	// lastSnap and memDirty drive LoadSnapshotCached: when the machine is
@@ -205,13 +233,6 @@ type Machine struct {
 	// segCache is the index of the segment the last dereference hit.
 	segCache int
 
-	// packed caches the bitset form of each snapshot's Def/Valid planes,
-	// keyed by snapshot identity, so a full reload packs each image once
-	// per machine instead of once per load. Snapshot memory planes must
-	// be stable across loads on one machine (testcase snapshots are; the
-	// caller contract of LoadSnapshotCached already demands it).
-	packed map[*Snapshot][]packedMem
-
 	// xmmRestores counts individual XMM register restores performed by
 	// LoadSnapshotCached over the machine's lifetime — a white-box
 	// diagnostic for the dirty-tracking regression tests.
@@ -224,19 +245,33 @@ type Machine struct {
 	generic int
 }
 
-// Trace records the byte addresses dereferenced during instrumented runs.
+// Trace records the bytes dereferenced during instrumented runs, one plane
+// per loaded segment: Reads[si] and Writes[si] have bit i set when the run
+// read or wrote byte i of segment si. An access that lies outside every
+// segment faults and is not recorded.
 type Trace struct {
-	Reads  map[uint64]struct{}
-	Writes map[uint64]struct{}
+	Reads  []Bits
+	Writes []Bits
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace {
-	return &Trace{Reads: map[uint64]struct{}{}, Writes: map[uint64]struct{}{}}
-}
+// NewTrace returns an empty trace; SetTrace sizes it.
+func NewTrace() *Trace { return &Trace{} }
 
 // SetTrace installs (or, with nil, removes) instrumentation on the machine.
-func (m *Machine) SetTrace(t *Trace) { m.trace = t }
+// It clears t and sizes its planes to the segments loaded now, so it must
+// follow the LoadSnapshot of the run it records.
+func (m *Machine) SetTrace(t *Trace) {
+	m.trace = t
+	if t == nil {
+		return
+	}
+	t.Reads = make([]Bits, len(m.segs))
+	t.Writes = make([]Bits, len(m.segs))
+	for i := range m.segs {
+		t.Reads[i] = NewBits(len(m.segs[i].data))
+		t.Writes[i] = NewBits(len(m.segs[i].data))
+	}
+}
 
 // New returns a machine with an empty address space.
 func New() *Machine {
@@ -258,33 +293,22 @@ func (m *Machine) LoadSnapshot(s *Snapshot) {
 	if len(m.segs) != len(s.Mem) {
 		m.segs = make([]segment, len(s.Mem))
 	}
-	if m.packed == nil {
-		m.packed = make(map[*Snapshot][]packedMem)
-	}
-	pm, ok := m.packed[s]
-	if !ok {
-		pm = make([]packedMem, len(s.Mem))
-		for i := range s.Mem {
-			im := &s.Mem[i]
-			w := bitWords(len(im.Data))
-			pm[i] = packedMem{def: make([]uint64, w), valid: make([]uint64, w)}
-			packBools(pm[i].def, im.Def)
-			packBools(pm[i].valid, im.Valid)
-		}
-		m.packed[s] = pm
-	}
 	for i := range s.Mem {
 		im := &s.Mem[i]
 		sg := &m.segs[i]
+		if w := bitWords(len(im.Data)); len(im.Def) != w || len(im.Valid) != w {
+			panic(fmt.Sprintf("emu: segment %d at %#x: planes of %d/%d words for %d bytes, want %d (build images with NewMemImage)",
+				i, im.Base, len(im.Def), len(im.Valid), len(im.Data), w))
+		}
 		if sg.base != im.Base || len(sg.data) != len(im.Data) {
 			sg.base = im.Base
 			sg.data = make([]byte, len(im.Data))
-			sg.def = make([]uint64, bitWords(len(im.Data)))
+			sg.def = NewBits(len(im.Data))
 		}
 		copy(sg.data, im.Data)
-		sg.valid = pm[i].valid // shared: execution never mutates validity
-		sg.snapDef = pm[i].def
-		copy(sg.def, pm[i].def)
+		sg.valid = im.Valid // shared: execution never mutates validity
+		sg.snapDef = im.Def
+		copy(sg.def, im.Def)
 		sg.dirtyLo, sg.dirtyHi = len(sg.data), 0
 	}
 	m.lastSnap = s
@@ -336,10 +360,11 @@ func (m *Machine) LoadSnapshotCached(s *Snapshot) {
 	m.sigsegv, m.sigfpe, m.undef = 0, 0, 0
 }
 
-// findSeg returns the segment containing [addr, addr+n), or nil. The last
-// hit is cached: -O0 code streams stack accesses, so consecutive
-// dereferences overwhelmingly land in one segment (the cache changes
-// nothing observable, only the scan).
+// findSeg returns the segment containing [addr, addr+n), or nil, and leaves
+// the index of a returned segment in segCache. The last hit is cached: -O0
+// code streams stack accesses, so consecutive dereferences overwhelmingly
+// land in one segment (the cache changes nothing observable, only the
+// scan).
 func (m *Machine) findSeg(addr uint64, n int) *segment {
 	if m.segCache < len(m.segs) {
 		sg := &m.segs[m.segCache]
@@ -361,11 +386,6 @@ func (m *Machine) findSeg(addr uint64, n int) *segment {
 // outside the sandbox makes the whole access fault (counted once) and the
 // access reads as zero; undefined bytes count one undef read.
 func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
-	if m.trace != nil {
-		for i := 0; i < n; i++ {
-			m.trace.Reads[addr+uint64(i)] = struct{}{}
-		}
-	}
 	sg := m.findSeg(addr, n)
 	if sg == nil {
 		m.sigsegv++
@@ -375,6 +395,9 @@ func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
 		return
 	}
 	off := addr - sg.base
+	if m.trace != nil {
+		setBits(m.trace.Reads[m.segCache], off, n)
+	}
 	if !allSet(sg.valid, off, n) {
 		m.sigsegv++
 		for i := 0; i < n; i++ {
@@ -391,17 +414,15 @@ func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
 // storeBytes writes n bytes at addr; stores outside the sandbox are dropped
 // after counting a fault.
 func (m *Machine) storeBytes(addr uint64, n int, in []byte) {
-	if m.trace != nil {
-		for i := 0; i < n; i++ {
-			m.trace.Writes[addr+uint64(i)] = struct{}{}
-		}
-	}
 	sg := m.findSeg(addr, n)
 	if sg == nil {
 		m.sigsegv++
 		return
 	}
 	off := addr - sg.base
+	if m.trace != nil {
+		setBits(m.trace.Writes[m.segCache], off, n)
+	}
 	if !allSet(sg.valid, off, n) {
 		m.sigsegv++
 		return
@@ -524,7 +545,7 @@ func (m *Machine) effectiveAddr(o x64.Operand) uint64 {
 		m.undef += int(^m.RegDef >> o.Index & 1)
 		a += m.Regs[o.Index] * uint64(o.Scale)
 	}
-	return a + uint64(int64(o.Disp))
+	return a + uint64(int64(o.Disp()))
 }
 
 func widthMask(w uint8) uint64 {

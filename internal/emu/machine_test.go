@@ -3,6 +3,7 @@ package emu
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,12 +281,11 @@ func TestBitOps(t *testing.T) {
 
 func TestMemorySandbox(t *testing.T) {
 	s := snapshotWithRegs(map[x64.Reg]uint64{x64.RDI: 0x1000})
-	s.Mem = []MemImage{{
-		Base:  0x1000,
-		Data:  []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 0},
-		Def:   []bool{true, true, true, true, true, true, true, true, false, false, false, false, false, false, false, false},
-		Valid: []bool{true, true, true, true, true, true, true, true, true, true, true, true, true, true, true, true},
-	}}
+	im := NewMemImage(0x1000, 16)
+	copy(im.Data, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	im.Def.SetAll(8)
+	im.Valid.SetAll(16)
+	s.Mem = []MemImage{im}
 
 	m, out := run(t, "movq (rdi), rax", s)
 	if out.SigSegv != 0 || m.Regs[x64.RAX] != 0x0807060504030201 {
@@ -352,14 +352,62 @@ func TestForwardJump(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsPerSegmentBits pins the instrumentation: reads and writes
+// land in the plane of the segment they hit, at the byte offset within it,
+// across a word boundary and for 16-byte SSE accesses; an access outside
+// every segment faults and leaves no record.
+func TestTraceRecordsPerSegmentBits(t *testing.T) {
+	s := snapshotWithRegs(map[x64.Reg]uint64{x64.RDI: 0x1000, x64.RSI: 0x2000, x64.RAX: 7})
+	for _, base := range []uint64{0x1000, 0x2000} {
+		im := NewMemImage(base, 100)
+		im.Def.SetAll(100)
+		im.Valid.SetAll(100)
+		s.Mem = append(s.Mem, im)
+	}
+	p := x64.MustParse(`
+  movq 60(rdi), rbx
+  movl eax, 2(rsi)
+  movups 80(rsi), xmm0
+  movq rbx, 4096(rsi)
+`)
+	m := New()
+	m.LoadSnapshot(s)
+	tr := NewTrace()
+	m.SetTrace(tr)
+	out := m.Run(p)
+	m.SetTrace(nil)
+	if out.SigSegv != 1 {
+		t.Fatalf("want exactly the out-of-segment store to fault: %+v", out)
+	}
+	want := func(lo, hi int) Bits {
+		b := NewBits(100)
+		for i := lo; i < hi; i++ {
+			b.Set(i)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		what      string
+		got, want Bits
+	}{
+		{"segment 0 reads", tr.Reads[0], want(60, 68)},
+		{"segment 0 writes", tr.Writes[0], want(0, 0)},
+		{"segment 1 reads", tr.Reads[1], want(80, 96)},
+		{"segment 1 writes", tr.Writes[1], want(2, 6)},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s = %x, want %x", c.what, c.got, c.want)
+		}
+	}
+	if !tr.Writes[1].Get(5) || tr.Writes[1].Get(6) {
+		t.Error("Get disagrees with the recorded store of bytes [2,6)")
+	}
+}
+
 func TestPushPop(t *testing.T) {
 	s := snapshotWithRegs(map[x64.Reg]uint64{x64.RSP: 0x2040, x64.RAX: 42})
-	stack := MemImage{Base: 0x2000, Data: make([]byte, 64)}
-	stack.Def = make([]bool, 64)
-	stack.Valid = make([]bool, 64)
-	for i := range stack.Valid {
-		stack.Valid[i] = true
-	}
+	stack := NewMemImage(0x2000, 64)
+	stack.Valid.SetAll(64)
 	s.Mem = []MemImage{stack}
 	m, out := run(t, `
   pushq rax
@@ -500,14 +548,13 @@ func TestSSESaxpyRewrite(t *testing.T) {
 	a := int32(rng.Uint32())
 
 	mkImage := func(base uint64, vals []int32) MemImage {
-		im := MemImage{Base: base, Data: make([]byte, 16),
-			Def: make([]bool, 16), Valid: make([]bool, 16)}
+		im := NewMemImage(base, 16)
 		for i, v := range vals {
 			u := uint32(v)
 			for b := 0; b < 4; b++ {
 				im.Data[i*4+b] = byte(u >> (8 * b))
-				im.Def[i*4+b] = true
-				im.Valid[i*4+b] = true
+				im.Def.Set(i*4 + b)
+				im.Valid.Set(i*4 + b)
 			}
 		}
 		return im

@@ -270,13 +270,13 @@ func decodeFuzzInst(menu byte, a [4]byte) x64.Inst {
 			return in
 		}
 	case FzJcc:
-		in := x64.MakeInst(x64.Jcc, x64.LabelRef(int32(a[1]%4)))
+		in := x64.MakeInst(x64.Jcc, x64.LabelRef(int16(a[1]%4)))
 		in.CC = fzCC(a[0])
 		return in
 	case FzLabel:
-		return x64.MakeInst(x64.LABEL, x64.LabelRef(int32(a[0]%4)))
+		return x64.MakeInst(x64.LABEL, x64.LabelRef(int16(a[0]%4)))
 	case FzJmp:
-		return x64.MakeInst(x64.JMP, x64.LabelRef(int32(a[0]%4)))
+		return x64.MakeInst(x64.JMP, x64.LabelRef(int16(a[0]%4)))
 	case FzRet:
 		return x64.MakeInst(x64.RET)
 	case FzIncDec:
@@ -352,16 +352,15 @@ func DecodeFuzzCase(data []byte) *FuzzCase {
 	s.FlagsDef = x64.FlagSet(c.byte() % 32)
 
 	seed, defMask, validMask := c.byte(), c.byte(), c.byte()
-	im := emu.MemImage{
-		Base:  FuzzSegBase,
-		Data:  make([]byte, FuzzSegSize),
-		Def:   make([]bool, FuzzSegSize),
-		Valid: make([]bool, FuzzSegSize),
-	}
+	im := emu.NewMemImage(FuzzSegBase, FuzzSegSize)
 	for i := 0; i < FuzzSegSize; i++ {
 		im.Data[i] = seed ^ byte(i*13)
-		im.Def[i] = defMask>>(i%8)&1 == 1
-		im.Valid[i] = validMask>>(i%8)&1 == 1
+		if defMask>>(i%8)&1 == 1 {
+			im.Def.Set(i)
+		}
+		if validMask>>(i%8)&1 == 1 {
+			im.Valid.Set(i)
+		}
 	}
 	s.Mem = []emu.MemImage{im}
 

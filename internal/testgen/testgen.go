@@ -2,14 +2,21 @@
 // a user-supplied annotation (here a Spec) says which registers carry inputs
 // and what memory the kernel may touch; inputs are sampled uniformly at
 // random (with annotated ranges for values used as addresses); the target is
-// run under instrumentation; and the addresses it dereferences define the
+// run under instrumentation; and the bytes it dereferences define the
 // sandbox inside which candidate rewrites execute. The live outputs the
 // target produces on each input become the expected side effects that the
 // cost function's Hamming-distance terms compare against.
+//
+// The sandbox is derived from the trace word by word: the emulator records
+// the target's reads and writes into per-segment bitsets shaped like the
+// snapshot's Valid planes, so each testcase's Valid plane is the OR of the
+// two, and the live memory outputs are the set bits of the write planes of
+// the live segments.
 package testgen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/emu"
@@ -89,7 +96,7 @@ func Generate(target *x64.Program, spec Spec, n int, rng *rand.Rand) ([]Testcase
 	for len(tcs) < n {
 		in := spec.BuildInput(rng)
 		FillUndefined(in, rng)
-		tc, err := FromInput(m, target, spec, in)
+		tc, err := fromInput(m, target, spec, in)
 		if err != nil {
 			return nil, err
 		}
@@ -123,35 +130,35 @@ func FillUndefined(s *emu.Snapshot, rng *rand.Rand) {
 // the corresponding testcase. It is also the path by which validator
 // counterexamples are folded back into the testcase set (§4.1: "failed
 // computations of eq(·) will produce a counterexample testcase that may be
-// used to refine τ").
+// used to refine τ"). in is left as it was.
 func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot) (Testcase, error) {
+	return fromInput(m, target, spec, in.Clone())
+}
+
+// fromInput is FromInput on an input the testcase may keep: its In is in
+// itself, with the Valid planes narrowed in place. m shares those planes
+// with in, so what m has loaded stays a fresh load of the testcase.
+func fromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot) (Testcase, error) {
 	if m == nil {
 		m = emu.New()
 	}
 	trace := emu.NewTrace()
 	m.LoadSnapshot(in)
-	m.SetTrace(trace)
+	m.SetTrace(trace) // after the load: it sizes the trace to the segments
 	out := m.Run(target)
 	m.SetTrace(nil)
 	if out.SigSegv+out.SigFpe > 0 || out.Exhaust {
 		return Testcase{}, fmt.Errorf("testgen: target faulted on generated input: %+v", out)
 	}
 
-	tc := Testcase{In: in.Clone()}
+	tc := Testcase{In: in}
 
-	// The sandbox for rewrites is exactly the set of addresses the target
+	// The sandbox for rewrites is exactly the set of bytes the target
 	// dereferenced (§5.1).
-	derefed := func(addr uint64) bool {
-		if _, ok := trace.Reads[addr]; ok {
-			return true
-		}
-		_, ok := trace.Writes[addr]
-		return ok
-	}
 	for si := range tc.In.Mem {
-		im := &tc.In.Mem[si]
-		for i := range im.Valid {
-			im.Valid[i] = derefed(im.Base + uint64(i))
+		valid, reads, writes := tc.In.Mem[si].Valid, trace.Reads[si], trace.Writes[si]
+		for w := range valid {
+			valid[w] = reads[w] | writes[w]
 		}
 	}
 
@@ -165,22 +172,21 @@ func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot)
 	tc.WantFlags = m.Flags & spec.LiveOut.Flags
 
 	// Every byte the target wrote inside a live segment is a live memory
-	// output. Iterate segments in order for determinism.
+	// output. Iterate segments, then addresses, in order for determinism.
 	for si := range tc.In.Mem {
 		if !spec.LiveOut.segLive(si) {
 			continue
 		}
-		im := &tc.In.Mem[si]
-		for i := range im.Data {
-			addr := im.Base + uint64(i)
-			if _, ok := trace.Writes[addr]; !ok {
-				continue
+		base := tc.In.Mem[si].Base
+		for w, word := range trace.Writes[si] {
+			for ; word != 0; word &= word - 1 {
+				addr := base + uint64(w*64+bits.TrailingZeros64(word))
+				b, _, ok := m.MemByte(addr)
+				if !ok {
+					return Testcase{}, fmt.Errorf("testgen: written byte %#x vanished", addr)
+				}
+				tc.WantMem = append(tc.WantMem, MemCheck{Addr: addr, Want: b})
 			}
-			b, _, ok := m.MemByte(addr)
-			if !ok {
-				return Testcase{}, fmt.Errorf("testgen: written byte %#x vanished", addr)
-			}
-			tc.WantMem = append(tc.WantMem, MemCheck{Addr: addr, Want: b})
 		}
 	}
 	return tc, nil
@@ -221,19 +227,14 @@ func (a *Arena) SetXmm(r x64.Reg, v [2]uint64) {
 func (a *Arena) Alloc(size int, fill func(i int) byte) uint64 {
 	base := (a.next + 15) &^ 15
 	a.next = base + uint64(size) + 32 // red zone between segments
-	im := emu.MemImage{
-		Base:  base,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
-	for i := 0; i < size; i++ {
-		if fill != nil {
+	im := emu.NewMemImage(base, size)
+	if fill != nil {
+		for i := range im.Data {
 			im.Data[i] = fill(i)
 		}
-		im.Def[i] = true
-		im.Valid[i] = true
 	}
+	im.Def.SetAll(size)
+	im.Valid.SetAll(size)
 	a.s.Mem = append(a.s.Mem, im)
 	return base
 }
@@ -244,15 +245,8 @@ func (a *Arena) Alloc(size int, fill func(i int) byte) uint64 {
 func (a *Arena) AllocStack(size int) uint64 {
 	base := (a.next + 15) &^ 15
 	a.next = base + uint64(size) + 32
-	im := emu.MemImage{
-		Base:  base,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
-	for i := 0; i < size; i++ {
-		im.Valid[i] = true
-	}
+	im := emu.NewMemImage(base, size)
+	im.Valid.SetAll(size)
 	a.s.Mem = append(a.s.Mem, im)
 	sp := base + uint64(size/2)
 	a.SetReg(x64.RSP, sp)

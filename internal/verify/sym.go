@@ -43,7 +43,7 @@ type symState struct {
 	// guard is the 1-bit execution condition of the current location.
 	guard *bv.Term
 	// pending accumulates inbound edge guards per label.
-	pending map[int32]*bv.Term
+	pending map[int16]*bv.Term
 
 	// cfg controls multiplication handling.
 	cfg Config
@@ -82,7 +82,7 @@ var DefaultConfig = Config{Exact64Mul: false, Budget: 400000, MaxTerms: 400000}
 
 // newSymState builds the shared initial state over input variables.
 func newSymState(b *bv.Builder, cfg Config) *symState {
-	s := &symState{b: b, cfg: cfg, guard: b.True(), pending: map[int32]*bv.Term{}}
+	s := &symState{b: b, cfg: cfg, guard: b.True(), pending: map[int16]*bv.Term{}}
 	for r := 0; r < x64.NumGPR; r++ {
 		s.regs[r] = b.Var(64, x64.GPRName(x64.Reg(r), 8))
 	}
@@ -164,11 +164,11 @@ func (s *symState) effAddr(o x64.Operand) *bv.Term {
 			a = b.Add(a, idx)
 		}
 	}
-	disp := b.Const(64, uint64(int64(o.Disp)))
+	disp := b.Const(64, uint64(int64(o.Disp())))
 	if a == nil {
 		return disp
 	}
-	if o.Disp != 0 {
+	if o.Disp() != 0 {
 		a = b.Add(a, disp)
 	}
 	return a
@@ -355,7 +355,7 @@ func (s *symState) Exec(p *x64.Program) {
 	}
 }
 
-func (s *symState) mergePending(id int32, g *bv.Term) {
+func (s *symState) mergePending(id int16, g *bv.Term) {
 	if prev, ok := s.pending[id]; ok {
 		s.pending[id] = s.b.Or(prev, g)
 	} else {

@@ -45,8 +45,13 @@ func (k OperandKind) String() string {
 //	KindReg:   Reg, Width (1,2,4,8)
 //	KindXmm:   Reg, Width=16
 //	KindImm:   Imm, Width (operand-size context, usually of its consumer)
-//	KindMem:   Base, Index, Scale, Disp, Width (access size)
+//	KindMem:   Base, Index, Scale, Width (access size), and the
+//	           displacement, kept sign-extended in Imm (read it with Disp)
 //	KindLabel: Label
+//
+// Sharing Imm between immediates and displacements, and a 16-bit Label,
+// pack an Operand into 16 bytes and an Inst into 56: searches and the
+// rewrite service retain programs by the thousand.
 type Operand struct {
 	Kind  OperandKind
 	Width uint8 // access/view width in bytes: 1, 2, 4, 8 or 16
@@ -54,10 +59,16 @@ type Operand struct {
 	Base  Reg   // memory base register, NoReg if absent
 	Index Reg   // memory index register, NoReg if absent
 	Scale uint8 // memory index scale: 1, 2, 4 or 8
-	Disp  int32 // memory displacement
-	Label int32 // label id for KindLabel; beside Disp so Operand packs into 24 bytes
-	Imm   int64 // immediate payload
+	Label int16 // label id for KindLabel
+	Imm   int64 // immediate payload; the displacement of a KindMem operand
 }
+
+// MaxLabels bounds the distinct labels one program may name: label ids are
+// 16-bit.
+const MaxLabels = 1 << 15
+
+// Disp returns a memory operand's displacement.
+func (o Operand) Disp() int32 { return int32(o.Imm) }
 
 // R returns a GPR operand of the given width in bytes.
 func R(r Reg, width uint8) Operand { return Operand{Kind: KindReg, Reg: r, Width: width} }
@@ -82,16 +93,16 @@ func Imm(v int64, width uint8) Operand { return Operand{Kind: KindImm, Imm: v, W
 
 // Mem returns a memory operand disp(base) with the given access width.
 func Mem(base Reg, disp int32, width uint8) Operand {
-	return Operand{Kind: KindMem, Base: base, Index: NoReg, Scale: 1, Disp: disp, Width: width}
+	return Operand{Kind: KindMem, Base: base, Index: NoReg, Scale: 1, Imm: int64(disp), Width: width}
 }
 
 // MemSIB returns a memory operand disp(base,index,scale).
 func MemSIB(base, index Reg, scale uint8, disp int32, width uint8) Operand {
-	return Operand{Kind: KindMem, Base: base, Index: index, Scale: scale, Disp: disp, Width: width}
+	return Operand{Kind: KindMem, Base: base, Index: index, Scale: scale, Imm: int64(disp), Width: width}
 }
 
 // LabelRef returns a label-reference operand for branches.
-func LabelRef(id int32) Operand { return Operand{Kind: KindLabel, Label: id} }
+func LabelRef(id int16) Operand { return Operand{Kind: KindLabel, Label: id} }
 
 // IsReg reports whether o is a GPR operand.
 func (o Operand) IsReg() bool { return o.Kind == KindReg }
@@ -121,8 +132,8 @@ func (o Operand) String() string {
 		return fmt.Sprintf("0x%x", uint64(o.Imm))
 	case KindMem:
 		var b strings.Builder
-		if o.Disp != 0 {
-			fmt.Fprintf(&b, "%d", o.Disp)
+		if d := o.Disp(); d != 0 {
+			fmt.Fprintf(&b, "%d", d)
 		}
 		b.WriteByte('(')
 		if o.Base != NoReg {

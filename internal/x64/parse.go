@@ -22,7 +22,7 @@ import (
 func Parse(src string) (*Program, error) {
 	p := &parser{
 		consts: map[string]int64{},
-		labels: map[string]int32{},
+		labels: map[string]int16{},
 	}
 	prog := &Program{}
 	for lineno, raw := range strings.Split(src, "\n") {
@@ -65,16 +65,22 @@ func stripComment(line string) string {
 
 type parser struct {
 	consts map[string]int64
-	labels map[string]int32
+	labels map[string]int16
 }
 
-func (p *parser) labelID(name string) int32 {
+// labelID numbers label names in order of first mention. Kernel text can
+// arrive over the network, so running out of 16-bit ids is a parse error,
+// not a wrap.
+func (p *parser) labelID(name string) (int16, error) {
 	if id, ok := p.labels[name]; ok {
-		return id
+		return id, nil
 	}
-	id := int32(len(p.labels))
+	if len(p.labels) >= MaxLabels {
+		return 0, fmt.Errorf("more than %d distinct labels", MaxLabels)
+	}
+	id := int16(len(p.labels))
 	p.labels[name] = id
-	return id
+	return id, nil
 }
 
 func (p *parser) parseLine(line string) ([]Inst, error) {
@@ -93,8 +99,11 @@ func (p *parser) parseLine(line string) ([]Inst, error) {
 	}
 	// Label definitions: ".L0" or ".L0:".
 	if strings.HasPrefix(line, ".") && !strings.ContainsAny(line, " \t") {
-		name := strings.TrimSuffix(line, ":")
-		return []Inst{MakeInst(LABEL, LabelRef(p.labelID(name)))}, nil
+		id, err := p.labelID(strings.TrimSuffix(line, ":"))
+		if err != nil {
+			return nil, err
+		}
+		return []Inst{MakeInst(LABEL, LabelRef(id))}, nil
 	}
 
 	// Instruction: mnemonic then comma-separated operands.
@@ -384,7 +393,11 @@ func (p *parser) parseOperand(s string) (Operand, error) {
 	}
 	// Label reference.
 	if strings.HasPrefix(s, ".") {
-		return LabelRef(p.labelID(strings.TrimSuffix(s, ":"))), nil
+		id, err := p.labelID(strings.TrimSuffix(s, ":"))
+		if err != nil {
+			return Operand{}, err
+		}
+		return LabelRef(id), nil
 	}
 	// Register (with optional %).
 	name := strings.TrimPrefix(s, "%")
@@ -426,10 +439,10 @@ func (p *parser) parseMem(s string, open int) (Operand, error) {
 	}
 	inner := s[open+1 : len(s)-1]
 	parts := strings.Split(inner, ",")
-	o := Operand{Kind: KindMem, Base: NoReg, Index: NoReg, Scale: 1, Disp: int32(disp)}
 	if disp != int64(int32(disp)) {
 		return Operand{}, fmt.Errorf("displacement %d out of 32-bit range", disp)
 	}
+	o := Mem(NoReg, int32(disp), 0)
 	reg := func(t string) (Reg, error) {
 		t = strings.TrimPrefix(strings.TrimSpace(t), "%")
 		r, w, xmm, ok := LookupReg(t)

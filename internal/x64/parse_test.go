@@ -1,6 +1,7 @@
 package x64
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,29 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestParseLabelLimit pins the 16-bit label space: kernel text arrives
+// over the network, so the label past MaxLabels must be a parse error, not
+// an id that wraps onto an earlier label.
+func TestParseLabelLimit(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < MaxLabels; i++ {
+		fmt.Fprintf(&b, ".L%d\n", i)
+	}
+	full := b.String()
+	p, err := Parse(full)
+	if err != nil {
+		t.Fatalf("%d labels: %v", MaxLabels, err)
+	}
+	if got := p.MaxLabel(); got != MaxLabels-1 {
+		t.Fatalf("MaxLabel = %d, want %d", got, MaxLabels-1)
+	}
+	for _, extra := range []string{".Lextra", "jmp .Lextra"} {
+		if _, err := Parse(full + extra); err == nil || !strings.Contains(err.Error(), "distinct labels") {
+			t.Errorf("label %d via %q: got %v, want a label-limit error", MaxLabels+1, extra, err)
 		}
 	}
 }

@@ -44,8 +44,8 @@ func (p *Program) InstCount() int {
 }
 
 // MaxLabel returns the largest label id mentioned by p, or -1 if none.
-func (p *Program) MaxLabel() int32 {
-	max := int32(-1)
+func (p *Program) MaxLabel() int16 {
+	max := int16(-1)
 	for _, in := range p.Insts {
 		for i := uint8(0); i < in.N; i++ {
 			if in.Opd[i].Kind == KindLabel && in.Opd[i].Label > max {
@@ -58,8 +58,8 @@ func (p *Program) MaxLabel() int32 {
 
 // LabelIndex returns a map from label id to the slot index of its LABEL
 // pseudo-instruction.
-func (p *Program) LabelIndex() map[int32]int {
-	m := make(map[int32]int)
+func (p *Program) LabelIndex() map[int16]int {
+	m := make(map[int16]int)
 	for i, in := range p.Insts {
 		if in.Op == LABEL {
 			m[in.Opd[0].Label] = i
@@ -73,7 +73,7 @@ func (p *Program) LabelIndex() map[int32]int {
 // programs are loop-free (§1), every jump must target a label at a strictly
 // later slot.
 func (p *Program) Validate() error {
-	labels := make(map[int32]int)
+	labels := make(map[int16]int)
 	for i, in := range p.Insts {
 		if in.Op == LABEL {
 			if prev, dup := labels[in.Opd[0].Label]; dup {

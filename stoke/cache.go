@@ -3,9 +3,10 @@
 // write-back of proven rewrites. Everything here is correctness-guarded:
 // a cached rewrite is served only after it revalidates against the
 // submitter's own freshly generated testcases plus the stored
-// counterexample set through the compiled evaluator, and a rewrite that
-// cannot be carried across register spaces (it pins registers the target
-// never did) degrades to a miss, never to a wrong answer.
+// counterexample set through the interpreting evaluator (cost.Fn.Eval),
+// and a rewrite that cannot be carried across register spaces (it pins
+// registers the target never did) degrades to a miss, never to a wrong
+// answer.
 
 package stoke
 
@@ -99,7 +100,7 @@ func (e *Engine) cacheProbe(k Kernel, st *settings, form *canon.Form,
 
 	// revalidate checks a mapped-back candidate against the generated
 	// testcases plus the entry's replayed counterexample set, in strict
-	// mode through the compiled evaluator.
+	// mode through the interpreting evaluator (cost.Fn.Eval).
 	revalidate := func(cand *x64.Program, cexs []store.Cex) bool {
 		if cand.Validate() != nil {
 			return false
